@@ -1,15 +1,16 @@
-"""Differential oracle: every solver × kernel × operator path must agree.
+"""Differential oracle: every solver × operand path must agree.
 
-The stack offers three registered solvers (power, Jacobi, Gauss–Seidel),
-three transpose-matvec kernels, and three ways to present the throttled
-operand: the lazy :class:`~repro.linalg.operator.ThrottledOperator`, the
-materialized :func:`~repro.throttle.transform.throttle_transform`
-matrix, and — out-of-core — the lazy transform over a
+The stack offers three registered solvers (power, Jacobi, Gauss–Seidel)
+and three ways to present the throttled operand: the lazy
+:class:`~repro.linalg.operator.ThrottledOperator`, the materialized
+:func:`~repro.throttle.transform.throttle_transform` matrix, and —
+out-of-core — the lazy transform over a
 :class:`~repro.linalg.BlockedOperator` streaming row-block shards from a
 :class:`~repro.webgraph.store.ShardedGraphStore` (each case's matrix is
-round-tripped through an on-disk store built in a temp directory, so the
-oracle also proves the varint-gap codec path end to end).  All of them
-solve the same Eq. 3 fixed point
+round-tripped through an on-disk store of three or more blocks behind a
+two-block cache, so the blocked solve stays cold and the oracle also
+proves the varint-gap codec and shard re-read path end to end).  All of
+them solve the same Eq. 3 fixed point
 
     σᵀ = α σᵀ T'' + (1 − α) cᵀ
 
@@ -38,12 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..config import RankingParams
-from ..linalg.operator import (
-    KERNELS,
-    BlockedOperator,
-    CsrOperator,
-    ThrottledOperator,
-)
+from ..linalg.operator import BlockedOperator, CsrOperator, ThrottledOperator
 from ..linalg.registry import solver_registry
 from ..throttle.transform import throttle_transform
 from ..webgraph.store import ShardedGraphStore
@@ -102,10 +98,9 @@ class GraphCase:
 
 @dataclass(frozen=True)
 class ComboResult:
-    """Score vector from one solver × kernel × operand-mode path."""
+    """Score vector from one solver × operand-mode path."""
 
     solver: str
-    kernel: str
     operand: str  # "lazy" | "materialized" | "blocked"
     scores: np.ndarray
     iterations: int
@@ -113,7 +108,7 @@ class ComboResult:
 
     @property
     def key(self) -> str:
-        return f"{self.solver}/{self.kernel}/{self.operand}"
+        return f"{self.solver}/{self.operand}"
 
 
 @dataclass(frozen=True)
@@ -282,32 +277,30 @@ def generate_case_suite(seed: int = 0, *, n: int = 24) -> list[GraphCase]:
 # ----------------------------------------------------------------------
 # Oracle
 # ----------------------------------------------------------------------
-def _solver_kernels(solver: str) -> tuple[str, ...]:
-    """Kernels that change anything for ``solver`` (the linear solvers
-    materialize the operand and ignore the kernel)."""
-    return KERNELS if solver == "power" else ("scipy",)
+#: Blocked-operand cache size: below the three or more blocks each case's
+#: store has, so every blocked sweep re-reads and re-decodes shards.
+_COLD_CACHE_BLOCKS = 2
 
 
 def _run_combo(
     case: GraphCase,
     solver: str,
-    kernel: str,
     operand_mode: str,
     params: RankingParams,
     *,
     store: ShardedGraphStore | None = None,
 ) -> ComboResult:
-    label = f"audit:{case.name}:{solver}/{kernel}/{operand_mode}"
+    label = f"audit:{case.name}:{solver}/{operand_mode}"
     blocked_base: BlockedOperator | None = None
     if operand_mode == "lazy":
         operand = ThrottledOperator(
-            CsrOperator(case.matrix, kernel=kernel),
+            CsrOperator(case.matrix),
             case.kappa,
             full_throttle=case.full_throttle,
         )
     elif operand_mode == "blocked":
         assert store is not None
-        blocked_base = BlockedOperator(store, cache_blocks=2)
+        blocked_base = BlockedOperator(store, cache_blocks=_COLD_CACHE_BLOCKS)
         operand = ThrottledOperator(
             blocked_base, case.kappa, full_throttle=case.full_throttle
         )
@@ -317,11 +310,7 @@ def _run_combo(
         )
     try:
         result = solver_registry.solve(
-            operand,
-            params,
-            solver=solver,
-            label=label,
-            kernel=None if operand_mode == "blocked" else kernel,
+            operand, params, solver=solver, label=label
         )
     finally:
         close = getattr(operand, "close", None)
@@ -331,7 +320,6 @@ def _run_combo(
             blocked_base.close()
     return ComboResult(
         solver=solver,
-        kernel=kernel,
         operand=operand_mode,
         scores=np.asarray(result.scores, dtype=np.float64),
         iterations=int(result.convergence.iterations),
@@ -349,7 +337,7 @@ def run_differential_oracle(
     solvers: Sequence[str] | None = None,
     strict: bool = False,
 ) -> DifferentialReport:
-    """Run every solver × kernel × operand combination and cross-check.
+    """Run every solver × operand combination and cross-check.
 
     Parameters
     ----------
@@ -392,24 +380,19 @@ def run_differential_oracle(
         combos: list[ComboResult] = []
         with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
             # Round-trip the case matrix through an on-disk sharded store
-            # (several blocks, so block boundaries are exercised); the
-            # blocked operand solves out-of-core from this store.
+            # (three or more blocks, so block boundaries are exercised and
+            # the two-block cache stays cold); the blocked operand solves
+            # out-of-core from this store.
             store = ShardedGraphStore.from_matrix(
                 case.matrix, tmp, block_size=max(1, case.n // 3)
             )
             for solver in solver_names:
-                for kernel in _solver_kernels(solver):
-                    for operand_mode in ("lazy", "materialized"):
-                        combos.append(
-                            _run_combo(
-                                case, solver, kernel, operand_mode, params
-                            )
+                for operand_mode in ("lazy", "materialized", "blocked"):
+                    combos.append(
+                        _run_combo(
+                            case, solver, operand_mode, params, store=store
                         )
-                combos.append(
-                    _run_combo(
-                        case, solver, "blocked", "blocked", params, store=store
                     )
-                )
             report.n_combos += len(combos)
 
             # Structural invariants on the materialized transform and on
@@ -436,7 +419,9 @@ def run_differential_oracle(
                     store, subject=f"{case.name}:T'(blocked)"
                 )
             )
-            with BlockedOperator(store, cache_blocks=2) as blocked_base:
+            with BlockedOperator(
+                store, cache_blocks=_COLD_CACHE_BLOCKS
+            ) as blocked_base:
                 blocked_throttled = ThrottledOperator(
                     blocked_base, case.kappa, full_throttle=case.full_throttle
                 )

@@ -113,7 +113,6 @@ def iterate_to_fixpoint(
     *,
     solver: str,
     label: str = "",
-    kernel: str | None = None,
     dangling_mask: np.ndarray | None = None,
     callback: Callable[[int, float], None] | None = None,
     span_meta: Mapping[str, object] | None = None,
@@ -134,9 +133,6 @@ def iterate_to_fixpoint(
         Solver name for spans/telemetry (``"power"``, ``"jacobi"``, ...).
     label:
         Human-readable solve tag; falls back to ``solver``.
-    kernel:
-        Matvec kernel name, forwarded to spans/telemetry when set (the
-        linear solvers pass ``None`` — they have no kernel choice).
     dangling_mask:
         Boolean mask of dangling rows.  When given, the dangling-row
         count is reported at solve start and the current dangling mass on
@@ -144,7 +140,9 @@ def iterate_to_fixpoint(
     callback:
         Optional per-iteration hook ``(iteration, residual)``.
     span_meta:
-        Extra key/values attached to the ``solve:<label>`` span.
+        Extra key/values attached to the ``solve:<label>`` span.  A
+        ``"kernel"`` entry (the power solver's matvec label) is also
+        reported to the progress hook at solve start.
 
     Returns
     -------
@@ -164,8 +162,6 @@ def iterate_to_fixpoint(
     tag = label or solver
     n = int(np.asarray(x0).size)
     meta: dict[str, object] = dict(span_meta or {})
-    if kernel is not None:
-        meta.setdefault("kernel", kernel)
     resilience = getattr(params, "resilience", None)
     guard = None
     if resilience is not None and resilience.enabled:
@@ -223,7 +219,6 @@ def iterate_to_fixpoint(
             params,
             solver=solver,
             tag=tag,
-            kernel=kernel,
             dangling_mask=dangling_mask,
             callback=callback,
             meta=meta,
@@ -257,7 +252,6 @@ def _iterate_inner(
     *,
     solver,
     tag,
-    kernel,
     dangling_mask,
     callback,
     meta,
@@ -275,8 +269,8 @@ def _iterate_inner(
             profile_block(f"solve:{tag}", solver=solver):
         if progress is not None:
             start_kwargs: dict[str, object] = {}
-            if kernel is not None:
-                start_kwargs["kernel"] = kernel
+            if "kernel" in meta:
+                start_kwargs["kernel"] = meta["kernel"]
             if dangling_mask is not None:
                 track_dangling = int(dangling_mask.sum())
                 start_kwargs["n_dangling"] = track_dangling

@@ -6,7 +6,7 @@ Jacobi, Gauss–Seidel) accept an optional :class:`ProgressCallback` via
 loop performs **no** timing calls and **no** per-iteration allocation;
 when set, the solver emits:
 
-* ``on_solve_start``: solve shape (label, solver, kernel choice, matrix
+* ``on_solve_start``: solve shape (label, solver, matvec label, matrix
   order, dangling-row count, stopping rule);
 * ``on_iteration``: residual, step wall-time, and (power solver) the
   current dangling mass;

@@ -143,7 +143,7 @@ class SolveGuard:
                         iteration, residual, self._tolerance, what="iterate"
                     )
                 )
-            # np.copy here, not slicing: kernel-owned buffers get recycled.
+            # A copy, not a reference: a step function may recycle its buffers.
             self._last_finite = np.array(x, dtype=np.float64, copy=True)
 
         # --- divergence -----------------------------------------------------

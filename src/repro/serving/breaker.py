@@ -1,7 +1,7 @@
 """Circuit breaker guarding the ranking service's background updater.
 
-When update solves fail repeatedly (a poisoned input, a broken kernel, a
-flaky pool), retrying as fast as requests arrive just burns CPU and keeps
+When update solves fail repeatedly (a poisoned input, a diverging solve,
+a flaky store), retrying as fast as requests arrive just burns CPU and keeps
 the service pinned in its failure path.  The breaker implements the
 classic three-state pattern:
 

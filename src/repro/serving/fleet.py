@@ -46,7 +46,13 @@ from ..errors import FleetError, NodeIndexError, ServingError
 from ..logging_utils import get_logger
 from ..observability.metrics import get_registry
 from ..resilience.faults import FaultPlan, FaultyStore, SocketFaultInjector
-from .frontend import FleetClient, FrontDoor
+from .frontend import (
+    MAX_FRAME_BYTES,
+    OVERSIZED_FRAME_REPLY,
+    FleetClient,
+    FrontDoor,
+    decode_frame,
+)
 from .service import RankingService
 from .snapshot import RankingSnapshot, SnapshotStore
 
@@ -222,21 +228,15 @@ class _ReplicaHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # noqa: D102 - socketserver contract
         replica = self.server.replica  # type: ignore[attr-defined]
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_FRAME_BYTES + 1)
             if not line:
                 return
-            try:
-                message = json.loads(line)
-            except (ValueError, UnicodeDecodeError) as exc:
-                self.wfile.write(
-                    _encode(
-                        {
-                            "ok": False,
-                            "error": "FleetError",
-                            "detail": f"malformed request: {exc}",
-                        }
-                    )
-                )
+            if len(line) > MAX_FRAME_BYTES and not line.endswith(b"\n"):
+                self.wfile.write(_encode(OVERSIZED_FRAME_REPLY))
+                return
+            message, error = decode_frame(line)
+            if message is None:
+                self.wfile.write(_encode(error))
                 continue
             response = replica.handle(message)
             op = message.get("op")
@@ -309,8 +309,10 @@ class ReplicaService:
     # -- request handling ------------------------------------------------
     def handle(self, message: dict) -> dict:
         """Answer one decoded request (never raises)."""
-        op = message.get("op")
         try:
+            if not isinstance(message, dict):
+                raise FleetError("request must be a JSON object")
+            op = message.get("op")
             if op == "score":
                 return self._values(message, what="score")
             if op == "percentile":

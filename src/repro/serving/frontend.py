@@ -77,7 +77,11 @@ _BATCHED_OPS: tuple[str, ...] = ("score", "percentile")
 #: Ops subject to deadline budgets and admission-control shedding.
 _READ_OPS: tuple[str, ...] = ("score", "percentile", "top_k")
 
-_STREAM_LIMIT = 2**22  # readline cap: a 100k-source σ dump fits
+#: Cap on one newline-delimited JSON frame, shared by the front door and
+#: the replicas (a 100k-source σ dump fits).  A longer frame gets a typed
+#: error reply and its connection closed: the stream cannot resynchronise
+#: in mid-line.
+MAX_FRAME_BYTES = 2**22
 
 #: Buckets of the deadline-burn histogram (elapsed / budget; > 1 means
 #: the deadline was missed).
@@ -88,6 +92,37 @@ _BURN_BUCKETS: tuple[float, ...] = (
 
 def _encode(payload: dict) -> bytes:
     return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+def _frame_error(detail: str) -> dict:
+    """The typed reply to a request frame that cannot be served."""
+    return {"ok": False, "error": "FleetError", "detail": detail}
+
+
+#: Reply to a frame longer than :data:`MAX_FRAME_BYTES`.
+OVERSIZED_FRAME_REPLY = _frame_error(
+    f"request frame exceeds {MAX_FRAME_BYTES} bytes"
+)
+
+
+def decode_frame(line: bytes) -> tuple[dict | None, dict | None]:
+    """Decode one request frame: ``(request, None)`` or ``(None, reply)``.
+
+    Never raises: bytes that are not a JSON object (bad UTF-8, bad JSON,
+    nesting too deep, or valid JSON such as ``[1]`` that is not an
+    object) give the typed ``{"ok": false, "error": "FleetError"}``
+    reply, and the connection stays usable for the next frame.
+    """
+    try:
+        message = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return None, _frame_error(f"malformed request: {exc}")
+    if not isinstance(message, dict):
+        return None, _frame_error(
+            "malformed request: expected a JSON object, got "
+            f"{type(message).__name__}"
+        )
+    return message, None
 
 
 class _TokenBucket:
@@ -456,7 +491,7 @@ class FrontDoor:
                 self._serve_client,
                 self.params.host,
                 self.params.frontend_port,
-                limit=_STREAM_LIMIT,
+                limit=MAX_FRAME_BYTES,
             )
             self._address = self._server.sockets[0].getsockname()[:2]
         except Exception as exc:  # noqa: BLE001 - surface to start()
@@ -483,18 +518,16 @@ class FrontDoor:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # frame over the stream limit
+                    writer.write(_encode(OVERSIZED_FRAME_REPLY))
+                    await writer.drain()
+                    return
                 if not line:
                     return
-                try:
-                    message = json.loads(line)
-                except (ValueError, UnicodeDecodeError) as exc:
-                    response = {
-                        "ok": False,
-                        "error": "FleetError",
-                        "detail": f"malformed request: {exc}",
-                    }
-                else:
+                message, response = decode_frame(line)
+                if message is not None:
                     response = await self._dispatch(message)
                 writer.write(_encode(response))
                 await writer.drain()
@@ -873,7 +906,7 @@ class FrontDoor:
                 if backend.writer is None:
                     backend.reader, backend.writer = await asyncio.wait_for(
                         asyncio.open_connection(
-                            *backend.address, limit=_STREAM_LIMIT
+                            *backend.address, limit=MAX_FRAME_BYTES
                         ),
                         timeout=self.params.connect_timeout_seconds,
                     )

@@ -47,9 +47,10 @@ class TestOperatorFromStore:
             GraphStoreParams(cache_blocks=0)
         with pytest.raises(ConfigError):
             GraphStoreParams(block_size=0)
-        with pytest.raises(ConfigError):
-            GraphStoreParams(workers=-1)
-        assert GraphStoreParams().with_(workers=2).workers == 2
+        assert GraphStoreParams().with_(cache_blocks=2).cache_blocks == 2
+        for removed in ("workers", "max_rebuilds", "task_timeout"):
+            with pytest.raises(TypeError):
+                GraphStoreParams(**{removed: 1})
 
 
 class TestRankStore:

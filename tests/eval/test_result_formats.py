@@ -58,15 +58,6 @@ class TestPowerOperator:
             y = op.step(np.full(3, 1 / 3))
         assert y.sum() == pytest.approx(1.0)
 
-    def test_rmatvec_kernels_agree(self, small_graph, rng):
-        m = transition_matrix(small_graph)
-        x = rng.random(small_graph.n_nodes)
-        t = np.full(small_graph.n_nodes, 1 / small_graph.n_nodes)
-        with PowerOperator(m, 0.85, t, kernel="scipy") as a, PowerOperator(
-            m, 0.85, t, kernel="chunked"
-        ) as b:
-            np.testing.assert_allclose(a.rmatvec(x), b.rmatvec(x), atol=1e-12)
-
     def test_n_property(self, triangle_graph):
         m = transition_matrix(triangle_graph)
         with PowerOperator(m, 0.85, np.full(3, 1 / 3)) as op:

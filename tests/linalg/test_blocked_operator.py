@@ -88,8 +88,8 @@ class TestBlockedMatvec:
     def test_rejects_bad_config(self, store):
         with pytest.raises(ConfigError):
             BlockedOperator(store, cache_blocks=0)
-        with pytest.raises(ConfigError):
-            BlockedOperator(store, workers=-1)
+        with pytest.raises(TypeError):
+            BlockedOperator(store, workers=2)
 
 
 class TestThrottledComposition:

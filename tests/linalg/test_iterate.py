@@ -76,7 +76,7 @@ class TestIterateToFixpoint:
             params,
             solver="power",
             label="engine-test",
-            kernel="scipy",
+            span_meta={"kernel": "scipy"},
         )
         run = telemetry.runs[-1]
         assert run.label == "engine-test"

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RankingParams
-from repro.errors import ConfigError, GraphError, ThrottleError
+from repro.errors import GraphError, ThrottleError
 from repro.linalg import (
     CsrOperator,
     ReversedOperator,
@@ -232,38 +232,14 @@ class TestReversedOperatorMatchesInverse:
 
 
 class TestCsrOperator:
-    def test_chunked_double_buffer_survives_one_call(self):
-        matrix = random_stochastic(23)
-        n = matrix.shape[0]
-        gen = np.random.default_rng(23)
-        x1, x2 = gen.random(n), gen.random(n)
-        op = CsrOperator(matrix, kernel="chunked")
-        y1 = op.rmatvec(x1)
-        expected1 = matrix.T @ x1
-        y2 = op.rmatvec(x2)
-        # y1 was written to the other buffer: still intact after one call.
-        np.testing.assert_allclose(y1, expected1, atol=1e-14)
-        np.testing.assert_allclose(y2, matrix.T @ x2, atol=1e-14)
-        assert y1 is not y2
-
-    def test_chunked_no_per_call_allocation(self):
-        matrix = random_stochastic(23)
-        n = matrix.shape[0]
-        op = CsrOperator(matrix, kernel="chunked")
-        x = np.random.default_rng(0).random(n)
-        outs = {id(op.rmatvec(x)) for _ in range(6)}
-        assert len(outs) == 2  # exactly the two preallocated buffers
-
-    def test_kernels_agree(self):
+    def test_rmatvec_is_the_transpose_product(self):
         matrix = random_stochastic(29)
         x = np.random.default_rng(29).random(matrix.shape[0])
-        a = CsrOperator(matrix, kernel="scipy")
-        b = CsrOperator(matrix, kernel="chunked")
-        np.testing.assert_allclose(a.rmatvec(x), b.rmatvec(x), atol=1e-13)
-
-    def test_rejects_bad_kernel(self):
-        with pytest.raises(ConfigError):
-            CsrOperator(random_stochastic(1), kernel="gpu")
+        op = CsrOperator(matrix)
+        y = op.rmatvec(x)
+        np.testing.assert_allclose(y, matrix.T @ x, atol=1e-14)
+        assert op.rmatvec(x) is not y  # each call returns a fresh vector
+        assert op.kernel == "scipy"
 
     def test_rejects_dense_and_non_square(self):
         with pytest.raises(GraphError):

@@ -85,8 +85,9 @@ class TestParamsValidation:
             RankingParams(solver="magic")
 
     def test_params_reject_unknown_kernel(self):
-        with pytest.raises(ConfigError, match="kernel"):
-            RankingParams(kernel="gpu")
+        # There is one matvec path, so kernel is no longer a field.
+        with pytest.raises(TypeError, match="kernel"):
+            RankingParams(kernel="scipy")
 
     def test_params_accept_builtins(self):
         for name in BUILTIN_SOLVERS:

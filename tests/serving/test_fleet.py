@@ -4,6 +4,7 @@ the replica read protocol, process lifecycle, and fleet orchestration."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -22,6 +23,7 @@ from repro.serving import (
     SnapshotStore,
     replica_request,
 )
+from repro.serving.frontend import MAX_FRAME_BYTES
 
 FAST_FLEET = FleetParams(
     replicas=2,
@@ -306,9 +308,54 @@ class TestReplicaServiceInProcess:
         replica.handle({"op": "score", "ids": [-5]})
         assert replica.handle({"op": "health"})["reads_error"] == 1
 
+    @pytest.mark.parametrize("message", [[1], None, 3, "x"])
+    def test_non_object_request_is_typed_error(self, replica, message):
+        response = replica.handle(message)
+        assert not response["ok"]
+        assert response["error"] == "FleetError"
+        assert response["replica"] == 7
+
 
 class TestReplicaOverTCP:
     """The same service behind its threading TCP server (in-process)."""
+
+    @pytest.fixture()
+    def served(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        publish(store, n=16)
+        replica = ReplicaService(store, replica_id=0, poll_interval=0.02)
+        replica.bind()
+        thread = threading.Thread(target=replica.serve_forever, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 5
+        while replica.follower.current is None:
+            assert time.monotonic() < deadline, "first adoption timed out"
+            time.sleep(0.01)
+        address = replica.address
+        yield address
+        replica_request(address, {"op": "stop"})
+        thread.join(timeout=10)
+        replica.close()
+
+    @pytest.mark.parametrize("frame", [b"[1]\n", b"null\n", b"3\n", b'"x"\n'])
+    def test_non_object_frame_keeps_connection(self, served, frame):
+        with socket.create_connection(served, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(frame)
+            reply = json.loads(rfile.readline())
+            assert reply["ok"] is False and reply["error"] == "FleetError"
+            sock.sendall(b'{"op": "score", "ids": [1]}\n')
+            reply = json.loads(rfile.readline())
+            assert reply["ok"] and reply["version"] == 1
+
+    def test_oversized_frame_gets_typed_reply_then_close(self, served):
+        with socket.create_connection(served, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))
+            reply = json.loads(rfile.readline())
+            assert reply["ok"] is False and reply["error"] == "FleetError"
+            assert "exceeds" in reply["detail"]
+            assert rfile.readline() == b""  # connection closed
 
     def test_serve_adopt_and_stop(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -7,6 +7,8 @@ interpreter per test would dominate the suite's wall clock.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -23,6 +25,7 @@ from repro.serving import (
     SnapshotStore,
     replica_request,
 )
+from repro.serving.frontend import MAX_FRAME_BYTES
 
 PARAMS = FleetParams(
     replicas=2,
@@ -157,6 +160,28 @@ class TestReads:
             client._sock, time.monotonic() + 5.0, 5.0, None, time.monotonic()
         )
         assert b"malformed" in line
+
+    @pytest.mark.parametrize("frame", [b"[1]\n", b"null\n", b"3\n", b'"x"\n'])
+    def test_non_object_frame_keeps_connection(self, fleet, frame):
+        door, _ = fleet
+        with socket.create_connection(door.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(frame)
+            reply = json.loads(rfile.readline())
+            assert reply["ok"] is False and reply["error"] == "FleetError"
+            sock.sendall(b'{"op": "score", "ids": [1]}\n')
+            reply = json.loads(rfile.readline())
+            assert reply["ok"] and len(reply["values"]) == 1
+
+    def test_oversized_frame_gets_typed_reply_then_close(self, fleet):
+        door, _ = fleet
+        with socket.create_connection(door.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))
+            reply = json.loads(rfile.readline())
+            assert reply["ok"] is False and reply["error"] == "FleetError"
+            assert "exceeds" in reply["detail"]
+            assert rfile.readline() == b""  # connection closed
 
     def test_health_fanout(self, client):
         health = client.health()
