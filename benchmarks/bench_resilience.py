@@ -35,6 +35,9 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_resilience.json"
 
 RECOVERY_ATOL = 1e-9
 
+#: Solve-checkpoint interval (iterations) of the killed-process scenario.
+CHECKPOINT_EVERY = 2
+
 
 def build_matrix(n_sources: int, seed: int):
     """A consensus-weighted source matrix from a synthetic page graph."""
@@ -103,16 +106,26 @@ def scenario_nan_fallback(matrix, params) -> dict:
 # ----------------------------------------------------------------------
 def _doomed_solve(matrix, params, directory: str, kill_at: int) -> None:
     """Child-process body: checkpointed solve that dies at iteration k."""
+    from repro.observability import ProgressCallback
     from repro.ranking.power import power_iteration
-    from repro.resilience import SolveCheckpointer, crash_at_iteration
+    from repro.resilience import SolveCheckpointer
+
+    class KillAt(ProgressCallback):
+        """Exits the process, unflushed, on iteration ``kill_at``."""
+
+        def on_iteration(self, label, iteration, x, residual, step_seconds):
+            if iteration == kill_at:
+                os._exit(3)
 
     power_iteration(
         matrix,
         params.with_(
-            checkpoint=SolveCheckpointer(directory, resume=False)
+            progress=KillAt(),
+            checkpoint=SolveCheckpointer(
+                directory, every=CHECKPOINT_EVERY, resume=False
+            ),
         ),
         label="doomed",
-        callback=crash_at_iteration(kill_at, action=lambda: os._exit(3)),
     )
 
 
@@ -140,7 +153,9 @@ def scenario_killed_process(matrix, params) -> dict:
         resumed = power_iteration(
             matrix,
             params.with_(
-                checkpoint=SolveCheckpointer(directory, resume=True)
+                checkpoint=SolveCheckpointer(
+                    directory, every=CHECKPOINT_EVERY, resume=True
+                )
             ),
             label="doomed",
         )
@@ -169,7 +184,7 @@ def run(quick: bool, seed: int) -> dict:
     params = RankingParams(
         tolerance=1e-12,
         max_iter=2000,
-        resilience=ResilienceParams(checkpoint_every=2),
+        resilience=ResilienceParams(),
     )
 
     report: dict = {

@@ -12,7 +12,8 @@ Phases:
   - *nan*: a seeded NaN corrupts a matvec; the ``power → jacobi``
     fallback chain recovers *inside* the update — the service never
     leaves healthy.
-  - *crash*: the solve dies mid-iteration; the update is dropped and the
+  - *crash*: the solve dies in its first matvec
+    (``FaultyOperator(fail_at_call=1)``); the update is dropped and the
     service degrades to serve-stale.
 
 * **ladder** — crash updates walk the service down the full degradation
@@ -85,6 +86,13 @@ class GraphEvolver:
         dst = self._gen.integers(0, self.graph.n_nodes, size=4)
         self.graph = self._add_edges(self.graph, src.tolist(), dst.tolist())
         return self.graph
+
+
+def crash_first_matvec(operator):
+    """``operator_wrap`` hook: the update's solve dies in its first matvec."""
+    from repro.resilience.faults import FaultyOperator
+
+    return FaultyOperator(operator, fail_at_call=1)
 
 
 def build_service(store_dir: Path, seed: int, observe: bool = False):
@@ -231,7 +239,6 @@ def run_ladder(service, evolver, assignment, kappa, scrape: ScrapeHarness) -> di
     enough to scrape the endpoint and answer a read from it.
     """
     from repro.errors import AdmissionError
-    from repro.resilience.faults import crash_at_iteration
     from repro.serving.service import SERVING_STATES
 
     rungs = []
@@ -282,7 +289,7 @@ def run_ladder(service, evolver, assignment, kappa, scrape: ScrapeHarness) -> di
     for i, expected in enumerate(expected_after_failure):
         graph = evolver.step()
         service.submit_update(
-            graph, assignment, kappa, callback=crash_at_iteration(1)
+            graph, assignment, kappa, operator_wrap=crash_first_matvec
         )
         if i == len(expected_after_failure) - 1:
             recovery_graph = evolver.step()
@@ -327,7 +334,7 @@ def run_ladder(service, evolver, assignment, kappa, scrape: ScrapeHarness) -> di
 # Chaos phase
 # ----------------------------------------------------------------------
 def run_chaos(service, evolver, assignment, kappa, seed: int) -> dict:
-    from repro.resilience.faults import FaultyOperator, crash_at_iteration
+    from repro.resilience.faults import FaultyOperator
 
     applied = []
     report: dict = {}
@@ -362,7 +369,7 @@ def run_chaos(service, evolver, assignment, kappa, seed: int) -> dict:
     # Mid-solve crash: the update is dropped, the service serves stale.
     graph = evolver.step()
     service.submit_update(
-        graph, assignment, kappa, callback=crash_at_iteration(1)
+        graph, assignment, kappa, operator_wrap=crash_first_matvec
     )
     dropped = service.run_pending() == 0
     stale_response = service.score(0)

@@ -33,6 +33,7 @@ import scipy.sparse as sp
 
 from ..errors import AuditError, GraphError
 from ..logging_utils import get_logger
+from ..observability.progress import ProgressCallback
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..config import AuditParams
@@ -630,14 +631,16 @@ class InvariantAuditor:
         )
 
 
-class IterateMassAuditor:
+class IterateMassAuditor(ProgressCallback):
     """Per-iteration mass-conservation checks for the iteration engine.
 
-    Built lazily by :func:`repro.linalg.iterate.iterate_to_fixpoint` when
-    ``params.audit`` is set (power solver only — the linear solvers'
-    intermediate iterates are not distributions).  Violations are counted
-    every time; in lenient mode only the first is logged to avoid
-    per-iteration log spam.
+    An iteration observer built by
+    :func:`repro.linalg.iterate.iterate_to_fixpoint` when
+    ``params.audit.check_every`` is set (power solver only — the linear
+    solvers' intermediate iterates are not distributions); it checks
+    every ``check_every``-th iterate.  Violations are counted every time;
+    in lenient mode only the first is logged to avoid per-iteration log
+    spam.
     """
 
     __slots__ = ("params", "subject", "leaky", "_warned")
@@ -649,6 +652,18 @@ class IterateMassAuditor:
         self.subject = subject
         self.leaky = leaky
         self._warned = False
+
+    def on_iteration(
+        self,
+        label: str,
+        iteration: int,
+        x: np.ndarray,
+        residual: float,
+        step_seconds: float,
+    ) -> None:
+        """Observer hook: :meth:`check` every ``check_every``-th iterate."""
+        if iteration % self.params.check_every == 0:
+            self.check(iteration, x)
 
     def check(self, iteration: int, x: np.ndarray) -> None:
         """Audit one iterate; raises :class:`AuditError` in strict mode."""

@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("none", "nan", "crash"),
         default="none",
         help="fault to inject into every other update: 'nan' corrupts a "
-        "matvec (the fallback chain recovers in-update), 'crash' kills "
-        "the solve mid-iteration (the service degrades explicitly)",
+        "matvec (the fallback chain recovers in-update), 'crash' fails "
+        "the solve's first matvec (the service degrades explicitly)",
     )
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
@@ -728,7 +728,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .errors import AdmissionError
     from .graph import add_edges
     from .observability import write_metrics
-    from .resilience.faults import FaultyOperator, crash_at_iteration
+    from .resilience.faults import FaultyOperator
     from .serving import RankingService
     from .throttle.vector import ThrottleVector
 
@@ -789,7 +789,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 op, corrupt_at_call=2, seed=args.seed
             )
         elif faulty and args.inject == "crash":
-            inject["callback"] = crash_at_iteration(1)
+            inject["operator_wrap"] = lambda op: FaultyOperator(
+                op, fail_at_call=1
+            )
         try:
             seq = service.submit_update(graph, ds.assignment, kappa, **inject)
         except AdmissionError as exc:

@@ -230,9 +230,6 @@ class ResilienceParams:
     fallback_solvers:
         Solver names (in order) a fallback chain should try after the
         primary solver; each is validated against the solver registry.
-    checkpoint_every:
-        Iteration interval for solve checkpoints when a checkpointer is
-        installed (``0`` keeps the checkpointer's own default).
     """
 
     check_finite_every: int = 1
@@ -241,11 +238,10 @@ class ResilienceParams:
     stagnation_rtol: float = 1e-3
     deadline_seconds: float | None = None
     fallback_solvers: tuple[str, ...] = ()
-    checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
         for name in ("check_finite_every", "divergence_window",
-                     "stagnation_window", "checkpoint_every"):
+                     "stagnation_window"):
             value = int(getattr(self, name))
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
@@ -694,11 +690,14 @@ class RankingParams:
         choice: the power solver's matvec is always the operator's own
         ``rmatvec`` (one scipy CSR product in memory).
     progress:
-        Optional :class:`repro.observability.ProgressCallback` receiving
-        per-iteration solver telemetry (residuals, step timings, dangling
-        mass).  ``None`` (default) keeps the solver hot loop free of any
-        timing calls or allocations.  Excluded from equality/hash so two
-        parameter sets describing the same computation stay equal.
+        Optional :class:`repro.observability.ProgressCallback`, the first
+        iteration observer of every solve (e.g. a
+        :class:`repro.observability.SolverTelemetry` recording residuals,
+        step timings and dangling mass).  With ``None`` (default) and no
+        other observer (``audit``, ``resilience``, ``checkpoint``) the
+        solver loop makes no timing calls and no per-iteration
+        call-outs.  Excluded from equality/hash so two parameter sets
+        describing the same computation stay equal.
     resilience:
         Optional :class:`ResilienceParams` enabling per-iteration
         numerical guardrails (NaN/Inf, divergence, stagnation, deadline)

@@ -389,13 +389,7 @@ class SpamResilientPipeline:
             self.weighting,
             self.full_throttle,
         )
-        resilience = self.ranking.resilience
-        every = (
-            resilience.checkpoint_every
-            if resilience is not None and resilience.checkpoint_every
-            else 25
-        )
-        solve_ckpt = self._checkpointer.solve_checkpointer(run_key, every=every)
+        solve_ckpt = self._checkpointer.solve_checkpointer(run_key)
         return (
             run_key,
             self.ranking.with_(checkpoint=solve_ckpt),

@@ -3,25 +3,37 @@
 Every iterative ranking solve in the library — power iteration, Jacobi,
 Gauss–Seidel, and any future registered solver — is the same loop: apply
 one update step, measure the residual between successive iterates under
-the configured norm, record telemetry, stop at tolerance or ``max_iter``.
+the configured norm, stop at tolerance or ``max_iter``.
 :func:`iterate_to_fixpoint` is that loop, written once.  Solvers supply
 only their step function; the engine owns
 
-* the ``solve:<label>`` tracing span (with per-solve iteration count);
-* the :class:`~repro.observability.progress.ProgressCallback` protocol
-  (solve shape, per-iteration residual/step-time/dangling-mass, final
-  :class:`ConvergenceInfo`) — all zero-cost when ``params.progress`` is
-  ``None``;
+* the per-solve wrapper: the ``solve:<label>`` tracing span (with the
+  iteration count), the ambient :func:`profile_block`, and the
+  ``solve_start`` / ``solve_end`` / ``solve_failed`` events;
+* checkpoint resume — when ``params.checkpoint`` holds stored state for
+  this solve, the loop starts from it instead of ``x0``;
 * the residual history and the strict-raise / lenient-warn convergence
   contract;
-* the resilience hooks — when ``params.resilience`` enables them, a
-  :class:`~repro.resilience.guards.SolveGuard` checks every iterate for
-  NaN/Inf, sustained divergence, stagnation, and wall-clock deadline
-  (raising the typed :class:`~repro.errors.ConvergenceError` subclasses);
-  when ``params.checkpoint`` carries a
-  :class:`~repro.resilience.checkpoint.SolveCheckpointer`, the iterate is
-  checkpointed periodically and the solve resumes from stored state.
-  Both are zero-cost when unset.
+* one list of **iteration observers**, all sharing the
+  :class:`~repro.observability.progress.ProgressCallback` protocol
+  (``on_solve_start`` / ``on_iteration`` / ``on_solve_end``), called in
+  this order:
+
+  1. ``params.progress`` — telemetry such as
+     :class:`~repro.observability.progress.SolverTelemetry`;
+  2. an :class:`~repro.audit.invariants.IterateMassAuditor` when
+     ``params.audit.check_every`` is set (power solver only);
+  3. a :class:`~repro.resilience.guards.SolveGuard` when
+     ``params.resilience`` enables a guard;
+  4. ``params.checkpoint`` — a
+     :class:`~repro.resilience.checkpoint.SolveCheckpointer`.
+
+  Each observer owns its own "when" rule (audit interval, guard
+  tolerance, checkpoint interval); the engine calls every observer on
+  every iteration, the converging one included, and evaluates none of
+  those rules itself.  An observer may end the solve by raising.  With
+  no observer installed the loop makes no timing call and no
+  per-iteration call-out.
 
 :class:`ConvergenceInfo` lives here (below the ranking layer) so that
 both the engine and the result types can use it without an import cycle;
@@ -114,7 +126,6 @@ def iterate_to_fixpoint(
     solver: str,
     label: str = "",
     dangling_mask: np.ndarray | None = None,
-    callback: Callable[[int, float], None] | None = None,
     span_meta: Mapping[str, object] | None = None,
 ) -> tuple[np.ndarray, ConvergenceInfo]:
     """Iterate ``x <- step(x)`` until the stopping rule fires.
@@ -128,21 +139,20 @@ def iterate_to_fixpoint(
         Starting iterate; not mutated.
     params:
         Stopping rule (``tolerance``, ``max_iter``, ``norm``, ``strict``)
-        plus the optional ``progress`` telemetry hook.
+        plus the optional observers (``progress``, ``audit``,
+        ``resilience``, ``checkpoint``).
     solver:
         Solver name for spans/telemetry (``"power"``, ``"jacobi"``, ...).
     label:
         Human-readable solve tag; falls back to ``solver``.
     dangling_mask:
-        Boolean mask of dangling rows.  When given, the dangling-row
-        count is reported at solve start and the current dangling mass on
-        every iteration (power-solver telemetry); ``None`` omits both.
-    callback:
-        Optional per-iteration hook ``(iteration, residual)``.
+        Boolean mask of dangling rows, handed to every observer at solve
+        start (power-solver telemetry reports the dangling mass from
+        it); ``None`` when the solver has no dangling rows to track.
     span_meta:
         Extra key/values attached to the ``solve:<label>`` span.  A
         ``"kernel"`` entry (the power solver's matvec label) is also
-        reported to the progress hook at solve start.
+        handed to the observers at solve start.
 
     Returns
     -------
@@ -158,51 +168,18 @@ def iterate_to_fixpoint(
         error carries the last finite iterate on ``last_iterate`` so
         fallback chains can warm-start.
     """
-    progress = params.progress
     tag = label or solver
     n = int(np.asarray(x0).size)
     meta: dict[str, object] = dict(span_meta or {})
-    resilience = getattr(params, "resilience", None)
-    guard = None
-    if resilience is not None and resilience.enabled:
-        # Imported lazily: repro.resilience sits beside this layer and
-        # importing it at module scope would cycle through the registry.
-        from ..resilience.guards import SolveGuard
-
-        guard = SolveGuard(resilience, tolerance=params.tolerance, label=tag)
-    audit = getattr(params, "audit", None)
-    mass_auditor = None
-    if audit is not None and audit.check_every and solver == "power":
-        # Lazily imported like the guards (repro.audit sits above this
-        # layer).  Power only: the linear solvers' intermediate iterates
-        # are not probability distributions, so mass conservation is not
-        # an invariant there.
-        from ..audit.invariants import IterateMassAuditor
-
-        mass_auditor = IterateMassAuditor(
-            audit,
-            subject=tag,
-            # With dangling rows the "linear" handling lets mass leak
-            # (never grow); "teleport" keeps mass at 1, which the leaky
-            # bound also accepts.
-            leaky=dangling_mask is not None and bool(dangling_mask.any()),
-        )
-    ckpt = getattr(params, "checkpoint", None)
-    ckpt_every = 0
+    ckpt = params.checkpoint
     start_iteration = 0
     if ckpt is not None:
-        ckpt_every = (
-            resilience.checkpoint_every
-            if resilience is not None and resilience.checkpoint_every
-            else ckpt.every
-        )
         state = ckpt.load(tag)
         if state is not None and state.x.size == n:
             x0 = state.x.copy()
             start_iteration = min(int(state.iteration), params.max_iter - 1)
             meta.setdefault("resumed_from", start_iteration)
-    # Event + profile hooks are per-solve (never per-iteration) and free
-    # when no ambient log/profiler is active.
+    observers = _observers(params, solver, tag, dangling_mask)
     emit_event(
         "solve_start",
         label=tag,
@@ -213,24 +190,60 @@ def iterate_to_fixpoint(
         resumed_from=start_iteration or None,
     )
     try:
-        return _iterate_inner(
-            step,
-            x0,
-            params,
-            solver=solver,
-            tag=tag,
-            dangling_mask=dangling_mask,
-            callback=callback,
-            meta=meta,
-            progress=progress,
-            guard=guard,
-            mass_auditor=mass_auditor,
-            audit=audit,
-            ckpt=ckpt,
-            ckpt_every=ckpt_every,
-            start_iteration=start_iteration,
-            n=n,
+        with span(f"solve:{tag}", solver=solver, n=n, **meta) as trace, \
+                profile_block(f"solve:{tag}", solver=solver):
+            for observer in observers:
+                observer.on_solve_start(
+                    tag,
+                    solver=solver,
+                    n=n,
+                    tolerance=params.tolerance,
+                    max_iter=params.max_iter,
+                    kernel=meta.get("kernel"),
+                    dangling_mask=dangling_mask,
+                )
+            x = x0
+            history: list[float] = []
+            residual = np.inf
+            iterations = start_iteration
+            for iterations in range(start_iteration + 1, params.max_iter + 1):
+                if observers:
+                    t0 = time.perf_counter()
+                x_next = step(x)
+                residual = residual_norm(x_next - x, params.norm)
+                history.append(residual)
+                x = x_next
+                if observers:
+                    seconds = time.perf_counter() - t0
+                    for observer in observers:
+                        observer.on_iteration(tag, iterations, x, residual, seconds)
+                if residual < params.tolerance:
+                    break
+            if trace is not None:
+                trace.meta["iterations"] = iterations
+        converged = residual < params.tolerance
+        info = ConvergenceInfo(
+            converged=converged,
+            iterations=iterations,
+            residual=float(residual),
+            tolerance=params.tolerance,
+            residual_history=tuple(history),
         )
+        for observer in observers:
+            observer.on_solve_end(tag, info)
+        emit_event(
+            "solve_end",
+            label=tag,
+            solver=solver,
+            converged=converged,
+            iterations=iterations,
+            residual=float(residual),
+        )
+        if not converged and params.strict:
+            err = ConvergenceError(iterations, residual, params.tolerance)
+            if np.isfinite(np.asarray(x)).all():
+                err.last_iterate = np.array(x, dtype=np.float64, copy=True)
+            raise err
     except ConvergenceError as exc:
         # Guard trips (NaN, divergence, stagnation, deadline) and strict
         # non-convergence leave through here; stamp the failure so the
@@ -243,104 +256,7 @@ def iterate_to_fixpoint(
             detail=str(exc),
         )
         raise
-
-
-def _iterate_inner(
-    step,
-    x0,
-    params,
-    *,
-    solver,
-    tag,
-    dangling_mask,
-    callback,
-    meta,
-    progress,
-    guard,
-    mass_auditor,
-    audit,
-    ckpt,
-    ckpt_every,
-    start_iteration,
-    n,
-):
-    track_dangling = 0
-    with span(f"solve:{tag}", solver=solver, n=n, **meta) as trace, \
-            profile_block(f"solve:{tag}", solver=solver):
-        if progress is not None:
-            start_kwargs: dict[str, object] = {}
-            if "kernel" in meta:
-                start_kwargs["kernel"] = meta["kernel"]
-            if dangling_mask is not None:
-                track_dangling = int(dangling_mask.sum())
-                start_kwargs["n_dangling"] = track_dangling
-            progress.on_solve_start(
-                tag,
-                solver=solver,
-                n=n,
-                tolerance=params.tolerance,
-                max_iter=params.max_iter,
-                **start_kwargs,
-            )
-        x = x0
-        history: list[float] = []
-        residual = np.inf
-        iterations = start_iteration
-        for iterations in range(start_iteration + 1, params.max_iter + 1):
-            if progress is not None:
-                t0 = time.perf_counter()
-            x_next = step(x)
-            residual = residual_norm(x_next - x, params.norm)
-            history.append(residual)
-            x = x_next
-            if callback is not None:
-                callback(iterations, residual)
-            if progress is not None:
-                progress.on_iteration(
-                    tag,
-                    iterations,
-                    residual,
-                    step_seconds=time.perf_counter() - t0,
-                    dangling_mass=(
-                        float(x[dangling_mask].sum()) if track_dangling else None
-                    ),
-                )
-            if mass_auditor is not None and iterations % audit.check_every == 0:
-                mass_auditor.check(iterations, x)
-            if residual < params.tolerance:
-                break
-            if guard is not None:
-                guard.check(iterations, x, residual)
-            if ckpt is not None and iterations % ckpt_every == 0:
-                ckpt.save(tag, x, iterations, residual)
-        converged = residual < params.tolerance
-        if trace is not None:
-            trace.meta["iterations"] = iterations
-    if ckpt is not None and converged:
-        ckpt.save(tag, x, iterations, residual)
-    info = ConvergenceInfo(
-        converged=converged,
-        iterations=iterations,
-        residual=float(residual),
-        tolerance=params.tolerance,
-        residual_history=tuple(history),
-    )
-    if progress is not None:
-        progress.on_solve_end(tag, info)
-    emit_event(
-        "solve_end",
-        label=tag,
-        solver=solver,
-        converged=converged,
-        iterations=iterations,
-        residual=float(residual),
-    )
     if not converged:
-        if params.strict:
-            err = ConvergenceError(iterations, residual, params.tolerance)
-            if np.isfinite(np.asarray(x)).all():
-                err.last_iterate = np.array(x, dtype=np.float64, copy=True)
-            raise err
         _logger.warning(
             "%s did not converge: residual %.3e after %d iterations",
             tag,
@@ -348,3 +264,41 @@ def _iterate_inner(
             iterations,
         )
     return x, info
+
+
+def _observers(params, solver: str, tag: str, dangling_mask) -> list:
+    """The solve's iteration observers, in call order (see module doc)."""
+    observers = []
+    if params.progress is not None:
+        observers.append(params.progress)
+    audit = params.audit
+    if audit is not None and audit.check_every and solver == "power":
+        # Imported lazily (repro.audit sits above this layer).  Power
+        # only: the linear solvers' intermediate iterates are not
+        # probability distributions, so mass conservation is not an
+        # invariant there.
+        from ..audit.invariants import IterateMassAuditor
+
+        observers.append(
+            IterateMassAuditor(
+                audit,
+                subject=tag,
+                # With dangling rows the "linear" handling lets mass leak
+                # (never grow); "teleport" keeps mass at 1, which the
+                # leaky bound also accepts.
+                leaky=dangling_mask is not None and bool(dangling_mask.any()),
+            )
+        )
+    resilience = params.resilience
+    if resilience is not None and resilience.enabled:
+        # Lazily imported: repro.resilience sits beside this layer and
+        # importing it at module scope would cycle through the registry.
+        from ..resilience.guards import SolveGuard
+
+        observers.append(
+            SolveGuard(resilience, tolerance=params.tolerance, label=tag)
+        )
+    ckpt = params.checkpoint
+    if ckpt is not None:
+        observers.append(ckpt)
+    return observers

@@ -10,18 +10,23 @@ and extensible by downstream code::
 
     @register_solver("my-solver")
     def my_solver(operand, params, *, teleport=None, x0=None, label="",
-                  dangling="linear", callback=None):
+                  dangling="linear"):
         ...
 
 Solver contract
 ---------------
 A solver is a callable ``fn(operand, params, *, teleport=None, x0=None,
-label="", dangling="linear", callback=None)`` returning
-``(scores, ConvergenceInfo)``.  ``operand`` is a CSR matrix or a
-:class:`~repro.linalg.operator.TransitionOperator`; solvers that need an
-explicit matrix call :func:`~repro.linalg.operator.as_matrix` on it.
-Solvers without a dangling-strategy choice (Jacobi, Gauss–Seidel) accept
-and ignore ``dangling``.
+label="", dangling="linear")`` returning a
+:class:`~repro.ranking.base.RankingResult` (scores plus
+:class:`~repro.linalg.iterate.ConvergenceInfo`).  ``operand`` is a CSR
+matrix or a :class:`~repro.linalg.operator.TransitionOperator`; solvers
+that need an explicit matrix call
+:func:`~repro.linalg.operator.as_matrix` on it.  Solvers without a
+dangling-strategy choice (Jacobi, Gauss–Seidel) accept and ignore
+``dangling``.  A solver takes no per-iteration hook of its own: it runs
+its loop through :func:`~repro.linalg.iterate.iterate_to_fixpoint`,
+whose observers (``params.progress``, the guard, the auditor, the
+checkpointer) it thereby inherits.
 
 The built-in solvers live in :mod:`repro.ranking`, which sits *above*
 this layer, so they are resolved lazily on first lookup rather than

@@ -22,9 +22,10 @@ Cooperating layers, all optional and all zero-cost when unused:
   live scrape endpoint (``/metrics``, ``/health``, ``/trace``,
   ``/events``) on a stdlib HTTP daemon thread.
 * :mod:`~repro.observability.progress` — the :class:`ProgressCallback`
-  per-iteration hook threaded through ``RankingParams.progress``, with
+  protocol every iteration observer of the solve engine implements
+  (installed for telemetry through ``RankingParams.progress``), with
   :class:`SolverTelemetry` as the standard collector of residual curves,
-  matvec timings, matvec label, and dangling-mass stats.
+  step timings, matvec label, and dangling-mass stats.
 * :mod:`~repro.observability.ledger` — the perf-trajectory ledger:
   committed benchmark results folded into one schema-validated trend
   table with a CI regression gate (``repro ledger compare``).

@@ -215,14 +215,16 @@ def read_events(path: str | Path) -> list[dict]:
 
     Torn trailing lines (a crash mid-write) are skipped, never raised:
     an event log must stay readable after the process it described died.
+    So is every other line that is not one event — bytes that are not
+    UTF-8, and valid JSON that is not an object — so the result is
+    always a list of dicts.
     """
     out: list[dict] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in Path(path).read_bytes().splitlines():
         try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError:
+            event = json.loads(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError
             continue
+        if isinstance(event, dict):
+            out.append(event)
     return out

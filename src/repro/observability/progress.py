@@ -1,21 +1,28 @@
-"""Solver telemetry: the per-iteration hook and its standard collector.
+"""The iteration-observer protocol and its standard telemetry collector.
 
-The iterative solvers (:func:`repro.ranking.power.power_iteration`,
-Jacobi, Gauss–Seidel) accept an optional :class:`ProgressCallback` via
-``RankingParams.progress``.  When it is ``None`` — the default — the hot
-loop performs **no** timing calls and **no** per-iteration allocation;
-when set, the solver emits:
+:func:`repro.linalg.iterate.iterate_to_fixpoint` — the loop behind every
+iterative solve (power iteration, Jacobi, Gauss–Seidel) — drives one list
+of observers, each a :class:`ProgressCallback`:
 
 * ``on_solve_start``: solve shape (label, solver, matvec label, matrix
-  order, dangling-row count, stopping rule);
-* ``on_iteration``: residual, step wall-time, and (power solver) the
-  current dangling mass;
-* ``on_solve_end``: the final :class:`~repro.ranking.base.ConvergenceInfo`.
+  order, stopping rule, dangling-row mask);
+* ``on_iteration``: the iteration number, the new iterate, its residual
+  and the step's wall time — on every iteration, the converging one
+  included;
+* ``on_solve_end``: the final :class:`~repro.ranking.base.ConvergenceInfo`
+  (not called when the step or an observer ends the solve by raising).
+
+User telemetry is installed through ``RankingParams.progress``; the
+engine adds the mass auditor, the numerical guard and the solve
+checkpointer to the same list when their parameters ask for them.  Each
+observer decides for itself on which iterations it acts.  With no
+observer installed the loop makes no timing calls and no per-iteration
+call-outs.
 
 :class:`SolverTelemetry` is the batteries-included collector: it records
-every solve as a :class:`SolverRun` with full residual curves and step
-timings, ready for JSON export via
-:func:`repro.observability.export.build_metrics_payload`.
+every solve as a :class:`SolverRun` with full residual curves, step
+timings and (power solver) per-iteration dangling mass, ready for JSON
+export via :func:`repro.observability.export.build_metrics_payload`.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 __all__ = ["ProgressCallback", "SolverRun", "SolverTelemetry"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -31,11 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 
 class ProgressCallback:
-    """No-op base class for solver progress hooks.
+    """No-op base class of the solve engine's iteration observers.
 
-    Subclass and override any subset; every method has an empty default so
-    partial observers stay forward-compatible when new hooks are added.
+    Subclass and override any subset; every method has an empty default,
+    so an observer implements only the hooks it needs.
     """
+
+    __slots__ = ()
 
     def on_solve_start(
         self,
@@ -46,7 +57,7 @@ class ProgressCallback:
         tolerance: float,
         max_iter: int,
         kernel: str | None = None,
-        n_dangling: int = 0,
+        dangling_mask: np.ndarray | None = None,
     ) -> None:
         """A solve is starting."""
 
@@ -54,12 +65,11 @@ class ProgressCallback:
         self,
         label: str,
         iteration: int,
+        x: np.ndarray,
         residual: float,
-        *,
-        step_seconds: float = 0.0,
-        dangling_mass: float | None = None,
+        step_seconds: float,
     ) -> None:
-        """One iteration completed."""
+        """One iteration completed; ``x`` is the new iterate (read-only)."""
 
     def on_solve_end(self, label: str, info: "ConvergenceInfo") -> None:
         """The solve finished (converged or gave up)."""
@@ -117,7 +127,7 @@ class SolverTelemetry(ProgressCallback):
 
     def __init__(self) -> None:
         self.runs: list[SolverRun] = []
-        self._open: list[tuple[SolverRun, float]] = []
+        self._open: list[tuple[SolverRun, float, np.ndarray | None]] = []
 
     def on_solve_start(
         self,
@@ -128,8 +138,9 @@ class SolverTelemetry(ProgressCallback):
         tolerance: float,
         max_iter: int,
         kernel: str | None = None,
-        n_dangling: int = 0,
+        dangling_mask: np.ndarray | None = None,
     ) -> None:
+        n_dangling = 0 if dangling_mask is None else int(dangling_mask.sum())
         run = SolverRun(
             label=label,
             solver=solver,
@@ -137,32 +148,33 @@ class SolverTelemetry(ProgressCallback):
             n=int(n),
             tolerance=float(tolerance),
             max_iter=int(max_iter),
-            n_dangling=int(n_dangling),
+            n_dangling=n_dangling,
         )
-        self._open.append((run, time.perf_counter()))
+        self._open.append(
+            (run, time.perf_counter(), dangling_mask if n_dangling else None)
+        )
 
     def on_iteration(
         self,
         label: str,
         iteration: int,
+        x: np.ndarray,
         residual: float,
-        *,
-        step_seconds: float = 0.0,
-        dangling_mass: float | None = None,
+        step_seconds: float,
     ) -> None:
         if not self._open:
             return
-        run = self._open[-1][0]
+        run, _, dangling_mask = self._open[-1]
         run.iterations = int(iteration)
         run.residuals.append(float(residual))
         run.step_seconds.append(float(step_seconds))
-        if dangling_mass is not None:
-            run.dangling_mass.append(float(dangling_mass))
+        if dangling_mask is not None:
+            run.dangling_mass.append(float(x[dangling_mask].sum()))
 
     def on_solve_end(self, label: str, info: "ConvergenceInfo") -> None:
         if not self._open:
             return
-        run, started = self._open.pop()
+        run, started, _ = self._open.pop()
         run.wall_seconds = time.perf_counter() - started
         run.iterations = info.iterations
         run.converged = info.converged

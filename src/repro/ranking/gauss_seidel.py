@@ -19,8 +19,6 @@ only the triangular splitting.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
@@ -44,7 +42,6 @@ def gauss_seidel_solve(
     x0: np.ndarray | None = None,
     label: str = "",
     dangling: str = "linear",
-    callback: Callable[[int, float], None] | None = None,
 ) -> RankingResult:
     """Solve the ranking linear system with Gauss–Seidel sweeps.
 
@@ -77,7 +74,6 @@ def gauss_seidel_solve(
         params,
         solver="gauss_seidel",
         label=label or "gauss_seidel",
-        callback=callback,
     )
     return RankingResult(x, info, label=label)
 

@@ -185,9 +185,13 @@ class IncrementalSourceRank:
             :class:`~repro.resilience.FaultyOperator`; production code
             leaves it ``None``.
         solve_kwargs:
-            Extra keywords (``callback``, ``solver``, ...) forwarded to
+            Extra keywords (``solver``, ``teleport``, ...) forwarded to
             :func:`~repro.ranking.srsourcerank.spam_resilient_sourcerank`
-            on top of the constructor-level ``solve_kwargs``.
+            on top of the constructor-level ``solve_kwargs``.  There is
+            no per-update iteration hook: per-iteration observers come
+            from the ``RankingParams`` (``progress`` and friends), and a
+            test that needs a solve to fail or stall wraps the operator
+            through ``operator_wrap``.
 
         Updates are serialized behind the internal lock; concurrent
         callers queue up rather than racing on the warm-start state.

@@ -21,8 +21,6 @@ only the splitting.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -45,7 +43,6 @@ def jacobi_solve(
     x0: np.ndarray | None = None,
     label: str = "",
     dangling: str = "linear",
-    callback: Callable[[int, float], None] | None = None,
 ) -> RankingResult:
     """Solve the ranking linear system with Jacobi iterations.
 
@@ -84,7 +81,6 @@ def jacobi_solve(
         params,
         solver="jacobi",
         label=label or "jacobi",
-        callback=callback,
     )
     return RankingResult(x, info, label=label)
 

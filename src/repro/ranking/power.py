@@ -19,8 +19,6 @@ itself lives in :func:`repro.linalg.iterate.iterate_to_fixpoint`.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -130,7 +128,6 @@ def power_iteration(
     x0: np.ndarray | None = None,
     dangling: str = "linear",
     label: str = "",
-    callback: Callable[[int, float], None] | None = None,
 ) -> RankingResult:
     """Run the power method to the stationary distribution.
 
@@ -151,8 +148,6 @@ def power_iteration(
         Dangling-mass strategy (see :mod:`repro.ranking.dangling`).
     label:
         Human-readable tag stored on the result.
-    callback:
-        Optional per-iteration hook ``(iteration, residual)``.
 
     Raises
     ------
@@ -181,7 +176,6 @@ def power_iteration(
         solver="power",
         label=label or "power",
         dangling_mask=op.dangling_mask,
-        callback=callback,
         span_meta={"kernel": op.kernel},
     )
     return RankingResult(x, info, label=label)

@@ -21,8 +21,6 @@ matrix :func:`~repro.throttle.transform.throttle_transform` would build.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..config import RankingParams
@@ -45,7 +43,6 @@ def spam_resilient_sourcerank(
     solver: str | None = None,
     full_throttle: str = "self",
     operator: CsrOperator | None = None,
-    callback: "Callable[[int, float], None] | None" = None,
 ) -> RankingResult:
     """Compute the Spam-Resilient SourceRank vector σ.
 
@@ -69,9 +66,6 @@ def spam_resilient_sourcerank(
         Prebuilt :class:`~repro.linalg.operator.CsrOperator` over the
         *unthrottled* source matrix; pass one to amortize its transposed CSR
         across a κ-sweep.  The caller keeps ownership of it.
-    callback:
-        Per-iteration ``(iteration, residual)`` hook forwarded to the
-        solver (part of the uniform solver contract).
 
     Returns
     -------
@@ -96,5 +90,4 @@ def spam_resilient_sourcerank(
         label="sr-sourcerank",
         teleport=teleport,
         x0=x0,
-        callback=callback,
     )

@@ -33,11 +33,7 @@ from .checkpoint import (
     content_key,
 )
 from .fallback import FallbackChain, SolveAttempt, record_fallback
-from .faults import (
-    FaultyOperator,
-    SimulatedCrash,
-    crash_at_iteration,
-)
+from .faults import FaultyOperator
 from .guards import SolveGuard, record_guard_trip
 
 __all__ = [
@@ -51,6 +47,4 @@ __all__ = [
     "PipelineCheckpointer",
     "content_key",
     "FaultyOperator",
-    "SimulatedCrash",
-    "crash_at_iteration",
 ]

@@ -5,9 +5,10 @@ Two cooperating pieces:
 * :class:`SolveCheckpointer` — periodic snapshots of a single iterative
   solve (the iterate vector plus the iteration count), written atomically
   (tmp + ``os.replace``) so a kill mid-write can never leave a torn file.
-  Installed via ``RankingParams.checkpoint``; the shared iteration engine
-  saves every ``every`` iterations and, when ``resume`` is set, restarts
-  from the stored iterate instead of the cold start.
+  Installed via ``RankingParams.checkpoint``, it is an iteration observer
+  of the shared engine: it saves every ``every`` iterations and once on
+  the converging iteration, and, when ``resume`` is set, the engine
+  restarts from the stored iterate instead of the cold start.
 * :class:`PipelineCheckpointer` — per-stage outputs of a
   :class:`~repro.core.pipeline.SpamResilientPipeline` run, keyed on a
   content hash of the inputs (:func:`content_key` over the source-graph
@@ -34,6 +35,7 @@ import numpy as np
 from ..logging_utils import get_logger
 from ..observability.events import emit as emit_event
 from ..observability.metrics import get_registry
+from ..observability.progress import ProgressCallback
 
 __all__ = [
     "content_key",
@@ -180,8 +182,12 @@ class SolveState:
     residual: float
 
 
-class SolveCheckpointer:
+class SolveCheckpointer(ProgressCallback):
     """Periodic atomic snapshots of an iterative solve, keyed by tag.
+
+    As an iteration observer it saves on every ``every``-th iteration and
+    on the converging one (exactly once when the two coincide); the solve
+    label is the tag.
 
     Parameters
     ----------
@@ -206,6 +212,25 @@ class SolveCheckpointer:
         self.directory = Path(directory)
         self.every = max(int(every), 1)
         self.resume = bool(resume)
+        self._tolerances: dict[str, float] = {}
+
+    def on_solve_start(self, label: str, *, tolerance: float, **shape) -> None:
+        """Observer hook: remember the solve's tolerance (its "converged")."""
+        self._tolerances[label] = float(tolerance)
+
+    def on_iteration(
+        self,
+        label: str,
+        iteration: int,
+        x: np.ndarray,
+        residual: float,
+        step_seconds: float,
+    ) -> None:
+        """Observer hook: save on the interval and on convergence."""
+        if residual < self._tolerances.get(label, 0.0):
+            self.save(label, x, iteration, residual)
+        else:
+            self.maybe_save(label, x, iteration, residual)
 
     def path_for(self, tag: str) -> Path:
         """Checkpoint file path for one solve tag (sanitized)."""
@@ -282,12 +307,10 @@ class PipelineCheckpointer:
         safe = _TAG_RE.sub("_", stage) or "stage"
         return self.directory / key[:16] / f"{safe}.npz"
 
-    def solve_checkpointer(
-        self, key: str, *, every: int = 25
-    ) -> SolveCheckpointer:
+    def solve_checkpointer(self, key: str) -> SolveCheckpointer:
         """A :class:`SolveCheckpointer` scoped under this run's key."""
         return SolveCheckpointer(
-            self.directory / key[:16] / "solves", every=every, resume=self.resume
+            self.directory / key[:16] / "solves", resume=self.resume
         )
 
     def save_stage(self, key: str, stage: str, **arrays: object) -> None:

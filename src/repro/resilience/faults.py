@@ -1,7 +1,7 @@
 """Deterministic fault injection for the resilience test/bench suite.
 
-Production code never imports this module; it exists so that tests and
-``benchmarks/bench_resilience.py`` can *provoke* every failure mode the
+This module exists so that tests, the benches and the ``repro serve
+--inject`` / ``--chaos`` demos can *provoke* every failure mode the
 resilience layer claims to survive, reproducibly:
 
 * :class:`FaultyOperator` — wraps any
@@ -11,10 +11,12 @@ resilience layer claims to survive, reproducibly:
   :class:`~repro.errors.InjectedFaultError` (a crashed kernel stand-in).
   Faults are *transient*: call counting continues across solver attempts,
   so a fallback retry against the same operator sails past the fault —
-  exactly the cosmic-ray model the fallback chain is built for.
-* :func:`crash_at_iteration` — a per-iteration callback raising
-  :class:`SimulatedCrash` at iteration *k*, standing in for a killed
-  process in in-process crash/resume tests (`os.kill` without the mess).
+  exactly the cosmic-ray model the fallback chain is built for.  With
+  ``fail_at_call=k`` it is also the library's one in-process solve
+  crash: the solve dies in its *k*-th matvec, standing in for a killed
+  process (``repro serve --inject crash``, the serving and checkpoint
+  tests, which interpose it through ``operator_wrap=`` or pass it as
+  the operand).
 
 On top of the solve-path faults sits the **distributed** fault plan for
 the replicated serving fleet (gray failures, not clean deaths):
@@ -40,7 +42,11 @@ the replicated serving fleet (gray failures, not clean deaths):
 
 Everything is seeded: the same :class:`FaultyOperator` configuration
 corrupts the same vector positions every run, and the same
-:class:`FaultPlan` fires the same faults on the same draws.
+:class:`FaultPlan` fires the same faults on the same draws.  The two
+stay separate on purpose: a :class:`FaultyOperator` fires on an exact
+call number, a :class:`FaultPlan` draws at random per operation, and
+folding one into the other would add a scheduling field to
+:class:`FaultRule` without removing any code.
 """
 
 from __future__ import annotations
@@ -56,19 +62,13 @@ import numpy as np
 from ..errors import ConfigError, InjectedFaultError
 
 __all__ = [
-    "SimulatedCrash",
     "FaultyOperator",
-    "crash_at_iteration",
     "FAULT_KINDS",
     "FaultRule",
     "FaultPlan",
     "SocketFaultInjector",
     "FaultyStore",
 ]
-
-
-class SimulatedCrash(InjectedFaultError):
-    """Raised by :func:`crash_at_iteration` to emulate a killed solve."""
 
 
 class FaultyOperator:
@@ -163,26 +163,6 @@ class FaultyOperator:
             f"FaultyOperator(n={self.n}, calls={self.calls}, "
             f"corrupt_at={self._corrupt_at}, fail_at={self._fail_at})"
         )
-
-
-def crash_at_iteration(
-    k: int, *, action: Callable[[], None] | None = None
-) -> Callable[[int, float], None]:
-    """A solver ``callback`` that dies at iteration ``k``.
-
-    ``action`` runs first when given (e.g. ``lambda: os._exit(3)`` for a
-    real process kill in a subprocess harness); otherwise — and for the
-    in-process tests — :class:`SimulatedCrash` is raised.
-    """
-    k = int(k)
-
-    def _callback(iteration: int, residual: float) -> None:
-        if iteration == k:
-            if action is not None:
-                action()
-            raise SimulatedCrash(f"simulated crash at iteration {iteration}")
-
-    return _callback
 
 
 #: Fault kinds the distributed plan understands.  The first four apply

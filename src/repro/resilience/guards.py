@@ -1,11 +1,13 @@
 """Numerical guardrails for the shared iteration engine.
 
-A :class:`SolveGuard` is instantiated by
-:func:`repro.linalg.iterate.iterate_to_fixpoint` whenever the active
-:class:`~repro.config.RankingParams` carry an enabled
-:class:`~repro.config.ResilienceParams`, and its :meth:`SolveGuard.check`
-runs once per iteration, after the residual is measured.  It watches for
-four distinct ways a long fixed-point solve goes wrong:
+A :class:`SolveGuard` is one of the iteration observers of
+:func:`repro.linalg.iterate.iterate_to_fixpoint`: the engine builds one
+per solve whenever the active :class:`~repro.config.RankingParams` carry
+an enabled :class:`~repro.config.ResilienceParams`.  On every iteration
+whose residual is still at or above the solve's tolerance it runs
+:meth:`SolveGuard.check`; the converging iteration is never checked, so
+a solve that reaches its tolerance is never failed by a guard.  It
+watches for four distinct ways a long fixed-point solve goes wrong:
 
 * **non-finite iterates** — a NaN or Inf anywhere in the iterate (or a
   non-finite residual), e.g. from a corrupted matvec buffer;
@@ -39,6 +41,7 @@ from ..errors import (
 )
 from ..logging_utils import get_logger
 from ..observability.metrics import get_registry
+from ..observability.progress import ProgressCallback
 
 __all__ = ["SolveGuard", "record_guard_trip"]
 
@@ -55,7 +58,7 @@ def record_guard_trip(kind: str, label: str = "") -> None:
     _logger.warning("guard trip [%s]%s", kind, f" in {label}" if label else "")
 
 
-class SolveGuard:
+class SolveGuard(ProgressCallback):
     """Per-solve watchdog evaluating the configured guardrails.
 
     One instance guards one solve; it is stateful (residual window,
@@ -111,6 +114,18 @@ class SolveGuard:
     def _raise(self, err) -> None:
         err.last_iterate = self._last_finite
         raise err
+
+    def on_iteration(
+        self,
+        label: str,
+        iteration: int,
+        x: np.ndarray,
+        residual: float,
+        step_seconds: float,
+    ) -> None:
+        """Observer hook: :meth:`check` every iteration above tolerance."""
+        if not residual < self._tolerance:
+            self.check(iteration, x, residual)
 
     def check(self, iteration: int, x: np.ndarray, residual: float) -> None:
         """Evaluate all enabled guards against one iteration's outcome.

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.config import RankingParams
+from repro.config import RankingParams, ResilienceParams
 from repro.errors import ConfigError, ConvergenceError
 from repro.linalg import ConvergenceInfo, iterate_to_fixpoint, residual_norm
+from repro.observability import EventLog, ProgressCallback
+from repro.resilience import SolveCheckpointer
 
 
 def halve_toward(target):
@@ -50,18 +54,21 @@ class TestIterateToFixpoint:
         assert not info.converged
         assert info.iterations == 3
 
-    def test_callback_sees_every_iteration(self):
-        seen = []
-        params = RankingParams(tolerance=1e-9, max_iter=100)
-        iterate_to_fixpoint(
-            halve_toward(np.ones(2)),
-            np.zeros(2),
-            params,
-            solver="power",
-            callback=lambda i, r: seen.append((i, r)),
+    def test_progress_observer_sees_iterations_in_order(self):
+        class Recorder(ProgressCallback):
+            def __init__(self):
+                self.seen = []
+
+            def on_iteration(self, label, iteration, *args, **kwargs):
+                self.seen.append(iteration)
+
+        recorder = Recorder()
+        params = RankingParams(tolerance=1e-9, max_iter=100, progress=recorder)
+        _, info = iterate_to_fixpoint(
+            halve_toward(np.ones(2)), np.zeros(2), params, solver="power"
         )
-        assert [i for i, _ in seen] == list(range(1, len(seen) + 1))
-        assert seen[-1][1] < 1e-9
+        assert info.converged
+        assert recorder.seen == list(range(1, info.iterations + 1))
 
     def test_progress_hooks_fire(self):
         from repro.observability import SolverTelemetry
@@ -94,6 +101,50 @@ class TestIterateToFixpoint:
             halve_toward(np.ones(2)), np.zeros(2), params, solver="jacobi"
         )
         assert telemetry.runs[-1].kernel is None
+
+
+class TestObserverOrderContract:
+    """What happens on the iteration that converges."""
+
+    def test_deadline_passing_on_converging_iteration_still_converges(self):
+        target = np.array([0.25, 0.75])
+        calls = []
+
+        def step(x):
+            calls.append(1)
+            if len(calls) > 1:  # the converging step overruns the deadline
+                time.sleep(0.15)
+            return target.copy()
+
+        params = RankingParams(
+            tolerance=1e-9,
+            max_iter=10,
+            resilience=ResilienceParams(deadline_seconds=0.05),
+        )
+        x, info = iterate_to_fixpoint(step, np.zeros(2), params, solver="power")
+        assert info.converged
+        assert info.iterations == 2
+        np.testing.assert_array_equal(x, target)
+
+    def test_convergence_on_interval_saves_one_checkpoint(self, tmp_path):
+        iterates = [np.full(2, v) for v in (0.1, 0.2, 0.3, 0.3)]
+        step = iter(iterates).__next__
+        params = RankingParams(
+            tolerance=1e-9,
+            max_iter=10,
+            checkpoint=SolveCheckpointer(tmp_path, every=2),
+        )
+        log = EventLog()
+        with log.activate():
+            _, info = iterate_to_fixpoint(
+                lambda x: step(), np.zeros(2), params, solver="power"
+            )
+        assert info.converged and info.iterations == 4
+        saves = [e["iteration"] for e in log.events("checkpoint_save")]
+        assert saves == [2, 4]
+        assert [e["kind"] for e in log.events()] == [
+            "solve_start", "checkpoint_save", "checkpoint_save", "solve_end"
+        ]
 
 
 class TestResidualNorm:

@@ -75,6 +75,18 @@ class TestEventLog:
         events = read_events(path)
         assert [e["kind"] for e in events] == ["whole"]
 
+    def test_lines_that_are_not_events_are_skipped(self, tmp_path) -> None:
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as log:
+            log.emit("first")
+        with path.open("ab") as fh:
+            fh.write(b'[1]\n3\n"text"\nnull\n\xff\xfe{"kind": "bad"}\n')
+        with EventLog(path) as log:
+            log.emit("last")
+        events = read_events(path)
+        assert all(isinstance(e, dict) for e in events)
+        assert [e["kind"] for e in events] == ["first", "last"]
+
     def test_close_is_idempotent(self, tmp_path) -> None:
         log = EventLog(tmp_path / "events.jsonl")
         log.close()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.config import RankingParams
 from repro.errors import ConfigError, ConvergenceError, GraphError
 from repro.graph import PageGraph, transition_matrix
+from repro.observability import SolverTelemetry
 from repro.ranking import power_iteration, uniform_teleport
 from repro.ranking.power import residual_norm
 
@@ -90,13 +91,13 @@ class TestPowerIteration:
         assert biased.score_of(0) > uniform.score_of(0)
 
     def test_callback_invoked(self, triangle_graph):
-        seen = []
-        power_iteration(
-            transition_matrix(triangle_graph),
-            RankingParams(),
-            callback=lambda i, r: seen.append((i, r)),
+        telemetry = SolverTelemetry()
+        result = power_iteration(
+            transition_matrix(triangle_graph), RankingParams(progress=telemetry)
         )
-        assert seen and seen[0][0] == 1
+        (run,) = telemetry.runs
+        assert run.iterations == result.convergence.iterations >= 1
+        assert run.residuals == list(result.convergence.residual_history)
 
     def test_rejects_non_square(self):
         with pytest.raises(GraphError):

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from repro.config import RankingParams, ResilienceParams
 from repro.core.pipeline import SpamResilientPipeline
+from repro.errors import InjectedFaultError
+from repro.linalg.operator import CsrOperator
 from repro.observability.metrics import get_registry, reset_registry
 from repro.ranking.power import power_iteration
 from repro.resilience import (
+    FaultyOperator,
     PipelineCheckpointer,
-    SimulatedCrash,
     SolveCheckpointer,
     content_key,
-    crash_at_iteration,
 )
 
 
@@ -98,23 +99,23 @@ class TestCrashResume:
         base = RankingParams(
             tolerance=1e-12,
             max_iter=500,
-            resilience=ResilienceParams(checkpoint_every=2),
+            resilience=ResilienceParams(),
         )
         reference = power_iteration(matrix, base)
         assert reference.convergence.iterations > 6
 
-        ckpt = SolveCheckpointer(tmp_path, resume=False)
-        with pytest.raises(SimulatedCrash):
+        ckpt = SolveCheckpointer(tmp_path, every=2, resume=False)
+        # The 7th matvec dies: iterations 1..6 completed, 2/4/6 saved.
+        with pytest.raises(InjectedFaultError):
             power_iteration(
-                matrix,
+                FaultyOperator(CsrOperator(matrix), fail_at_call=7),
                 base.with_(checkpoint=ckpt),
                 label="crashy",
-                callback=crash_at_iteration(6),
             )
         resumed = power_iteration(
             matrix,
             base.with_(
-                checkpoint=SolveCheckpointer(tmp_path, resume=True)
+                checkpoint=SolveCheckpointer(tmp_path, every=2, resume=True)
             ),
             label="crashy",
         )

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from repro.errors import InjectedFaultError
 from repro.linalg.operator import CsrOperator
-from repro.resilience import FaultyOperator, SimulatedCrash, crash_at_iteration
+from repro.resilience import FaultyOperator
 
 
 @pytest.fixture()
@@ -73,22 +73,6 @@ class TestFaultyOperator:
         np.testing.assert_array_equal(
             faulty.materialize().toarray(), operator.materialize().toarray()
         )
-
-
-class TestCrashAtIteration:
-    def test_raises_only_at_k(self):
-        callback = crash_at_iteration(3)
-        callback(1, 0.5)
-        callback(2, 0.4)
-        with pytest.raises(SimulatedCrash, match="iteration 3"):
-            callback(3, 0.3)
-
-    def test_action_runs_before_raise(self):
-        ran = []
-        callback = crash_at_iteration(1, action=lambda: ran.append(True))
-        with pytest.raises(SimulatedCrash):
-            callback(1, 0.5)
-        assert ran == [True]
 
 
 class TestFaultRule:

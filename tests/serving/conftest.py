@@ -8,6 +8,7 @@ import pytest
 from repro.datasets import load_dataset
 from repro.graph import add_edges
 from repro.observability.metrics import get_registry, reset_registry
+from repro.resilience.faults import FaultyOperator
 from repro.throttle.vector import ThrottleVector
 
 
@@ -60,3 +61,8 @@ def gauge_value(name: str) -> float | None:
             for child in family.children():
                 return child.value
     return None
+
+
+def crash_first_matvec(operator) -> FaultyOperator:
+    """``operator_wrap`` hook: the update's solve dies in its first matvec."""
+    return FaultyOperator(operator, fail_at_call=1)

@@ -8,10 +8,9 @@ import pytest
 
 from repro.config import ServingParams
 from repro.errors import AdmissionError
-from repro.resilience.faults import crash_at_iteration
 from repro.serving import CircuitBreaker, RankingService, SERVING_STATES
 
-from .conftest import counter_value, gauge_value
+from .conftest import counter_value, crash_first_matvec, gauge_value
 
 # A breaker that never trips: these tests exercise the *service* state
 # machine, not breaker pauses.
@@ -36,7 +35,7 @@ def service(tmp_path, tiny, tiny_kappa):
 def crash_update(service, graph, tiny, tiny_kappa) -> None:
     """Submit and run one update that dies mid-solve."""
     service.submit_update(
-        graph, tiny.assignment, tiny_kappa, callback=crash_at_iteration(1)
+        graph, tiny.assignment, tiny_kappa, operator_wrap=crash_first_matvec
     )
     assert service.run_pending() == 0  # the update failed and was dropped
 
@@ -138,7 +137,7 @@ class TestTransitions:
                 crashing,
                 tiny.assignment,
                 tiny_kappa,
-                callback=crash_at_iteration(1),
+                operator_wrap=crash_first_matvec,
             )
         clean = evolve(crashing)
         service.submit_update(clean, tiny.assignment, tiny_kappa)

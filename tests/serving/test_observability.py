@@ -12,9 +12,10 @@ import pytest
 
 from repro.config import ObservabilityParams, RankingParams, ServingParams
 from repro.errors import AdmissionError
-from repro.resilience.faults import crash_at_iteration
 from repro.serving import RankingService
 from repro.serving.service import SERVING_STATES
+
+from .conftest import crash_first_matvec
 
 SERVING = ServingParams(
     backoff_base_seconds=0.005,
@@ -104,7 +105,7 @@ class TestEndpointUnderChaos:
                     graph,
                     tiny.assignment,
                     tiny_kappa,
-                    callback=crash_at_iteration(1),
+                    operator_wrap=crash_first_matvec,
                 )
                 if i == len(expected) - 1:
                     graph = evolve(graph)
@@ -144,7 +145,7 @@ class TestEndpointUnderChaos:
         service.run_pending()
         graph = evolve(graph)
         service.submit_update(
-            graph, tiny.assignment, tiny_kappa, callback=crash_at_iteration(1)
+            graph, tiny.assignment, tiny_kappa, operator_wrap=crash_first_matvec
         )
         service.run_pending()
         service.stop()

@@ -21,6 +21,15 @@ from .conftest import counter_value
 SERVING = ServingParams(backoff_base_seconds=0.01, backoff_max_seconds=0.05)
 
 
+class Dawdling(FaultyOperator):
+    """An operator that sleeps in each of its first ten matvecs."""
+
+    def rmatvec(self, x):
+        if self.calls < 10:
+            time.sleep(0.02)
+        return super().rmatvec(x)
+
+
 def make_service(tmp_path, **kwargs) -> RankingService:
     kwargs.setdefault("serving", SERVING)
     return RankingService(tmp_path / "snapshots", **kwargs)
@@ -302,12 +311,8 @@ class TestConcurrency:
         slow_graph = evolve(tiny.graph)
         fast_graph = evolve(evolve(evolve(slow_graph)))
 
-        def dawdle(iteration: int, residual: float) -> None:
-            if iteration < 10:
-                time.sleep(0.02)
-
         service.submit_update(
-            slow_graph, tiny.assignment, tiny_kappa, callback=dawdle
+            slow_graph, tiny.assignment, tiny_kappa, operator_wrap=Dawdling
         )
         service.submit_update(fast_graph, tiny.assignment, tiny_kappa)
         runners = [
